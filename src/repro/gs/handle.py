@@ -16,7 +16,8 @@ operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,10 +37,14 @@ class GSHandle:
         Shape of the data arrays ``gs_op`` will accept.
     uids:
         Sorted unique global ids present on this rank.
-    local_order / segment_starts:
-        Permutation and segment boundaries so that
-        ``x.ravel()[local_order]`` groups equal-gid entries contiguously
-        (the *local condense* plan).
+    plan:
+        The *local condense* plan, one ``(uid_index, cols)`` pair per
+        local multiplicity k (ascending): ``uid_index`` lists the
+        uid-indices of the ids that have exactly k local entries, and
+        ``cols`` is a ``(k, m_k)`` array whose column j holds the flat
+        indices of the entries of id ``uid_index[j]``, in flat-index
+        order.  DG face numbering gives one group with k = 2; Nekbone's
+        C0 numbering gives k in {1, 2, 4, 8}.
     inverse:
         Flat-index -> uid-index map (the *scatter back* plan).
     shared_index:
@@ -57,8 +62,7 @@ class GSHandle:
     comm: Comm
     shape: tuple
     uids: np.ndarray
-    local_order: np.ndarray
-    segment_starts: np.ndarray
+    plan: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     inverse: np.ndarray
     shared_index: np.ndarray
     neighbor_send_index: Dict[int, np.ndarray]
@@ -82,15 +86,31 @@ class GSHandle:
         return sorted(self.neighbor_send_index)
 
     def condense(self, x: np.ndarray, op: ReduceOp) -> np.ndarray:
-        """Combine local duplicates: data array -> per-uid values."""
+        """Combine local duplicates: data array -> per-uid values.
+
+        Bitwise equal to ``op.ufunc.reduceat`` over the entries sorted
+        by gid (stable), dtype included, but done per multiplicity
+        group: k = 1 is a gather, k = 2 one binary ufunc call, and only
+        k >= 3 pays a ``reduceat`` (over that group alone, so numpy's
+        reduction order within each id is unchanged).
+        """
         if x.shape != self.shape:
             raise ValueError(
                 f"gs data shape {x.shape} != handle shape {self.shape}"
             )
-        if op.ufunc is None:
+        ufunc = op.ufunc
+        if ufunc is None:
             raise ValueError(f"{op.name} has no ufunc; cannot gs over it")
-        flat = x.reshape(-1)[self.local_order]
-        return op.ufunc.reduceat(flat, self.segment_starts)
+        # reduceat upcasts some inputs (small ints under add, anything
+        # under logical ops); casting first keeps every group identical.
+        dtype = _fold_dtype(ufunc, x.dtype)
+        flat = x.reshape(-1).astype(dtype, copy=False)
+        if len(self.plan) == 1:
+            return _fold_group(ufunc, flat, self.plan[0][1])
+        out = np.empty(self.n_unique, dtype=dtype)
+        for uid_index, cols in self.plan:
+            out[uid_index] = _fold_group(ufunc, flat, cols)
+        return out
 
     def scatter(self, condensed: np.ndarray) -> np.ndarray:
         """Per-uid values -> data array (duplicates replicated)."""
@@ -107,6 +127,55 @@ class GSHandle:
         )
 
 
+@lru_cache(maxsize=None)
+def _fold_dtype(ufunc, dtype: np.dtype) -> np.dtype:
+    """Result dtype of ``ufunc.reduceat`` over ``dtype`` entries.
+
+    Cached: one entry per (reduction op, data dtype) pair in use.
+    """
+    return ufunc.reduceat(np.zeros(1, dtype=dtype), [0]).dtype
+
+
+def _fold_group(ufunc, flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Combine the k entries of every id in one multiplicity group."""
+    k, m = cols.shape
+    if k == 1:
+        return flat[cols[0]]
+    if k == 2:
+        return ufunc(flat[cols[0]], flat[cols[1]])
+    # cols is a transposed C-order (m, k) array: cols.T is each id's
+    # entries back to back, which is the layout reduceat folds.
+    gathered = flat[cols.T.reshape(-1)]
+    return ufunc.reduceat(gathered, np.arange(0, k * m, k))
+
+
+def _local_plans(flat: np.ndarray):
+    """``(uids, inverse, plan)`` for one rank's flat gid array.
+
+    One stable sort serves all three: it groups equal gids (uids and
+    the scatter map) and orders each gid's entries by flat index (the
+    condense plan, grouped by multiplicity; see :attr:`GSHandle.plan`).
+    """
+    order = np.argsort(flat, kind="stable")
+    sorted_vals = flat[order]
+    is_start = np.empty(len(sorted_vals), dtype=bool)
+    is_start[:1] = True
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    uids = sorted_vals[starts]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(is_start) - 1
+    counts = np.diff(starts, append=len(sorted_vals))
+    plan = []
+    for k in np.flatnonzero(np.bincount(counts)):
+        uid_index = np.flatnonzero(counts == k)
+        cols = order[starts[uid_index, None] + np.arange(k)].T
+        if k <= 2:
+            cols = np.ascontiguousarray(cols)
+        plan.append((uid_index, cols))
+    return uids, inverse, tuple(plan)
+
+
 def gs_setup(gids: np.ndarray, comm: Comm, site: str = "gs_setup") -> GSHandle:
     """Discover sharing and build a :class:`GSHandle`.
 
@@ -121,15 +190,7 @@ def gs_setup(gids: np.ndarray, comm: Comm, site: str = "gs_setup") -> GSHandle:
         raise ValueError("global ids must be non-negative")
     flat = gids.reshape(-1).astype(np.int64)
 
-    # Local condense plan.
-    uids, inverse = np.unique(flat, return_inverse=True)
-    local_order = np.argsort(flat, kind="stable")
-    sorted_vals = flat[local_order]
-    is_start = np.empty(len(sorted_vals), dtype=bool)
-    if len(sorted_vals):
-        is_start[0] = True
-        is_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    segment_starts = np.nonzero(is_start)[0]
+    uids, inverse, plan = _local_plans(flat)
 
     # --- discovery phase (all-to-all), as in the paper -----------------
     size = comm.size
@@ -253,8 +314,7 @@ def gs_setup(gids: np.ndarray, comm: Comm, site: str = "gs_setup") -> GSHandle:
         comm=comm,
         shape=gids.shape,
         uids=uids,
-        local_order=local_order,
-        segment_starts=segment_starts,
+        plan=plan,
         inverse=inverse,
         shared_index=shared_index,
         neighbor_send_index=neighbor_send_index,

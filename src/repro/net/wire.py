@@ -33,6 +33,11 @@ the backend needs:
 
 from __future__ import annotations
 
+# socket.getaddrinfo imports this codec on a process's first TCP
+# connect.  Loading it here, before any rank agent is forked, means a
+# fork can never inherit that import half done by another thread of
+# the launching process, which would block the agent forever.
+import encodings.idna  # noqa: F401
 import os
 import socket
 import struct

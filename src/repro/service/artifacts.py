@@ -67,8 +67,10 @@ try:  # advisory file locking (POSIX); degrade gracefully elsewhere
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
-#: Schema version of the on-disk index.
-DISK_VERSION = 1
+#: Schema version of the on-disk index.  Blobs pickle whole
+#: ``GSHandle`` objects, so a change to the handle's fields bumps it:
+#: 2 = handles carry the multiplicity-grouped condense plan.
+DISK_VERSION = 2
 INDEX_FILENAME = "index.json"
 
 

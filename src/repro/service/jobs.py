@@ -16,6 +16,7 @@ service runs can be checked bitwise against standalone CLI runs.
 from __future__ import annotations
 
 import hashlib
+import math
 import secrets
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Mapping, Optional
@@ -92,12 +93,22 @@ class JobSpec:
         only needs to be monotone in actual cost, not accurate.
         """
         n = int(self.param("n", 5))
-        nel = int(self.param("nel", self.param("nelx", 8)))
+        nel = self.param("nel", self.param("nelx", 8))
+        # cmtbone accepts a per-rank element shape as well as a count.
+        nel = math.prod(nel) if isinstance(nel, (list, tuple)) else nel
         nsteps = int(self.param("nsteps", 4))
-        return self.nranks * nel * n**3 * max(nsteps, 1)
+        return self.nranks * int(nel) * n**3 * max(nsteps, 1)
 
     def is_small(self) -> bool:
-        return self.work_units() <= SMALL_JOB_UNITS
+        """Batchable?  Never raises: the service's drive loop calls it.
+
+        A spec whose size cannot be estimated counts as large, so it
+        dispatches alone and fails in its worker, not in the loop.
+        """
+        try:
+            return self.work_units() <= SMALL_JOB_UNITS
+        except Exception:
+            return False
 
     def to_json(self) -> Dict[str, Any]:
         return asdict(self)

@@ -510,9 +510,9 @@ class TestSockets:
         """Garbage thrown at the rendezvous port — a pickled payload
         without AUTH, a wrong token — is dropped per-connection: it is
         never unpickled and the job completes normally."""
+        import multiprocessing as mp
         import pickle
         import threading
-        import time
 
         import repro.net.backend as nb
         from repro.net.wire import AUTH, HELLO, TransportError
@@ -520,13 +520,26 @@ class TestSockets:
 
         captured = {}
         real_make_listener = nb.make_listener
+        real_monitor = nb.SocketBackend._monitor
+        # The attacker stays idle until every rank is forked: a fork
+        # taken while it holds an import lock (its first connect
+        # imports the idna codec) would deadlock that rank forever.
+        forked = threading.Event()
+        # Ranks hold the job open until both probes have returned, so
+        # the rendezvous monitor is still listening when they arrive.
+        probed = mp.get_context("fork").Event()
 
         def spy(*args, **kwargs):
             sock, addr = real_make_listener(*args, **kwargs)
             captured.setdefault("addr", addr)  # first = rendezvous
             return sock, addr
 
+        def monitor_spy(self, *args, **kwargs):
+            forked.set()
+            return real_monitor(self, *args, **kwargs)
+
         monkeypatch.setattr(nb, "make_listener", spy)
+        monkeypatch.setattr(nb.SocketBackend, "_monitor", monitor_spy)
 
         def probe(frames):
             """Send frames, then read until the driver drops us."""
@@ -543,22 +556,23 @@ class TestSockets:
         outcomes = {}
 
         def attack():
-            deadline = time.monotonic() + 15.0
-            while "addr" not in captured:
-                if time.monotonic() > deadline:
+            try:
+                if not forked.wait(timeout=15.0):
                     return
-                time.sleep(0.002)
-            evil = pickle.dumps(_EvilHello())
-            outcomes["hello_before_auth"] = probe([(HELLO, evil)])
-            outcomes["wrong_token"] = probe(
-                [(AUTH, b"wrong"), (HELLO, evil)]
-            )
+                evil = pickle.dumps(_EvilHello())
+                outcomes["hello_before_auth"] = probe([(HELLO, evil)])
+                outcomes["wrong_token"] = probe(
+                    [(AUTH, b"wrong"), (HELLO, evil)]
+                )
+            finally:
+                probed.set()
 
         attacker = threading.Thread(target=attack, daemon=True)
         attacker.start()
 
         def main(comm):
-            time.sleep(0.5)  # keep the monitor up while strays poke it
+            # Keep the monitor up while strays poke it.
+            probed.wait(timeout=15.0)
             return comm.allreduce(comm.rank)
 
         res = Runtime(nranks=2, backend="sockets").run(main)

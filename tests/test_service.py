@@ -10,6 +10,8 @@ same spec produces.
 from __future__ import annotations
 
 import asyncio
+import json
+import pathlib
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.service import (
     run_job,
     spec_artifact_key,
 )
+from repro.service.artifacts import DISK_VERSION
 
 SMALL = {"n": 5, "nel": 8, "nsteps": 2}
 SOD = {"n": 5, "nelx": 8, "nsteps": 2}
@@ -298,6 +301,29 @@ class TestDiskArtifactCache:
         assert warm.vtime_total == cold.vtime_total
         assert warm.vtime_comm == cold.vtime_comm
 
+    def test_older_index_version_is_cold_then_republished(self, tmp_path):
+        d = str(tmp_path / "spill")
+        cold = run_job(small_spec(0), ArtifactCache(disk=d))
+        # Version-1 blobs hold handles pickled before the condense plan
+        # existed; loading one would fail inside condense.
+        index = pathlib.Path(DiskArtifactStore(d).host_dir) / "index.json"
+        doc = json.loads(index.read_text())
+        assert doc["version"] == DISK_VERSION == 2
+        doc["version"] = 1
+        index.write_text(json.dumps(doc))
+        with pytest.warns(RuntimeWarning, match="unsupported layout"):
+            stale = run_job(small_spec(1), ArtifactCache(disk=d))
+        assert (stale.cache_misses, stale.cache_disk_hits) == (1, 0)
+        # The cold run republished at the current version; a restart
+        # is a warm disk hit again, bitwise identical.
+        warm = run_job(small_spec(2), ArtifactCache(disk=d))
+        assert (warm.cache_hits, warm.cache_disk_hits) == (1, 1)
+        for res in (stale, warm):
+            assert res.ok
+            assert res.digest == cold.digest
+            assert res.vtime_total == cold.vtime_total
+            assert res.vtime_comm == cold.vtime_comm
+
     def test_complete_entry_spills_and_partial_never_does(self, tmp_path):
         d = str(tmp_path / "spill")
         art = SetupArtifact(handle=None, method="pairwise", autotune=None)
@@ -329,7 +355,6 @@ class TestDiskArtifactCache:
         art = SetupArtifact(handle=None, method="pairwise", autotune=None)
         cache = ArtifactCache(disk=d)
         cache.store("k", 0, art, nranks=1)
-        import pathlib
         blob = pathlib.Path(cache.disk.host_dir)
         # Truncate the blob: fetch must warn and miss, not raise.
         (blob / "k-r1.pkl").write_bytes(b"not a pickle")
@@ -627,6 +652,32 @@ class TestCampaign:
         assert warm.cache_disk_hits == 1
         assert w.digest == c.digest
         assert w.vtime_total == c.vtime_total
+
+    def test_element_shape_and_unsizable_specs_through_service(self):
+        # Regression: work_units did int(params["nel"]), so a cmtbone
+        # spec with a per-rank element shape raised inside the drive
+        # loop, killing the pump and hanging every future.
+        shaped = small_spec(0, params={**SMALL, "nel": [2, 2, 2]})
+        bogus = small_spec(1, params={**SMALL, "nel": "wat"})
+        plain = small_spec(2)
+        assert shaped.work_units() == 2 * 8 * 5**3 * 2
+        assert shaped.is_small() and not bogus.is_small()
+
+        async def main():
+            async with Service(nworkers=1) as svc:
+                futures = [svc.submit(s) for s in (shaped, bogus, plain)]
+                return await asyncio.wait_for(
+                    asyncio.gather(*futures), timeout=120
+                )
+
+        r_shaped, r_bogus, r_plain = asyncio.run(main())
+        assert r_shaped.status == r_plain.status == "done"
+        assert r_bogus.status == "failed"
+        assert r_bogus.error
+        direct = run_job(shaped, None)
+        assert direct.ok
+        assert r_shaped.digest == direct.digest
+        assert r_shaped.vtime_total == direct.vtime_total
 
     def test_cancel_through_service(self):
         specs = [small_spec(i) for i in range(12)]
